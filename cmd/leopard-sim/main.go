@@ -36,8 +36,8 @@ var knownExperiments = []struct{ id, desc string }{
 	{"fig12", "retrieval cost of a missing datablock (+ Table V)"},
 	{"fig13", "view-change time and communication cost"},
 	{"attack", "throughput under f selective-attacking replicas"},
-	{"vclanes", "view-change convergence under saturated bulk lanes (lanes vs FIFO)"},
-	{"stream", "slow-receiver datablock fan-out: credit streaming vs drop-on-overflow"},
+	{"vclanes", "view-change convergence under saturated bulk lanes"},
+	{"stream", "slow-receiver datablock fan-out under credit streaming"},
 	{"recover", "crash-restart a replica: WAL recovery + state transfer vs no-durability baseline"},
 	{"chaos", "seeded fault schedules (partitions, loss, skew, crashes) under the invariant checker"},
 	{"clients", "closed-loop signed clients: reply certificates under leader churn + a reply-suppressing replica"},
@@ -304,10 +304,9 @@ func run(id string, scales []int, numClients int) (any, error) {
 			return nil, err
 		}
 		out = rows
-		fmt.Println("   n   laned(ms)   single-queue(ms)")
+		fmt.Println("   n   laned(ms)")
 		for _, r := range rows {
-			fmt.Printf("%4d   %9.1f   %16.1f\n",
-				r.N, float64(r.Laned.Microseconds())/1e3, float64(r.SingleQ.Microseconds())/1e3)
+			fmt.Printf("%4d   %9.1f\n", r.N, float64(r.Laned.Microseconds())/1e3)
 		}
 	case "stream":
 		rows, err := experiments.StreamScenario(scales)
@@ -315,10 +314,10 @@ func run(id string, scales []int, numClients int) (any, error) {
 			return nil, err
 		}
 		out = rows
-		fmt.Println("   n   mode     converge(ms)   peak-queued(KB)   drops   retrievals")
+		fmt.Println("   n   converge(ms)   peak-queued(KB)   drops   retrievals")
 		for _, r := range rows {
-			fmt.Printf("%4d   %-6s   %12.1f   %15.1f   %5d   %10d\n",
-				r.N, r.Mode, float64(r.Converged.Microseconds())/1e3,
+			fmt.Printf("%4d   %12.1f   %15.1f   %5d   %10d\n",
+				r.N, float64(r.Converged.Microseconds())/1e3,
 				float64(r.PeakQueuedBytes)/1e3, r.BulkDrops, r.Retrievals)
 		}
 	case "recover":

@@ -2,14 +2,20 @@ package experiments
 
 import (
 	"testing"
+	"time"
 )
+
+// singleQueueConverged is the n=8 view-change convergence of the
+// single-FIFO baseline (control queued behind bulk) that strict lanes
+// replaced. The baseline is gone; its recorded result stays as the bound.
+const singleQueueConverged = 431 * time.Millisecond
 
 // TestViewChangeUnderBulkLanesWin is the simnet half of the lane-priority
 // regression: with every link saturated by datablock traffic, view-change
 // convergence under strict control-over-bulk lanes must beat the
-// single-FIFO baseline by a wide margin (the control path no longer queues
+// single-FIFO baseline by at least 5x (the control path no longer queues
 // behind megabytes of bulk). The simulation is deterministic, so the
-// comparison is stable.
+// bound is stable.
 func TestViewChangeUnderBulkLanesWin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -19,11 +25,11 @@ func TestViewChangeUnderBulkLanesWin(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	t.Logf("n=%d laned=%v singleq=%v", r.N, r.Laned, r.SingleQ)
-	if r.Laned <= 0 || r.SingleQ <= 0 {
+	t.Logf("n=%d laned=%v", r.N, r.Laned)
+	if r.Laned <= 0 {
 		t.Fatal("view change did not converge")
 	}
-	if r.Laned*5 > r.SingleQ {
-		t.Errorf("lanes gained only %v -> %v; want at least 5x faster convergence", r.SingleQ, r.Laned)
+	if limit := singleQueueConverged / 5; r.Laned > limit {
+		t.Errorf("laned convergence %v over %v (a fifth of the single-queue %v)", r.Laned, limit, singleQueueConverged)
 	}
 }

@@ -18,9 +18,10 @@ import (
 
 // runFingerprint runs a full Leopard cluster under load (with jitter, so
 // the seeded RNG is actually exercised) and returns every replica's
-// bandwidth counters plus a rendering of its protocol counters. streaming
-// selects the chunked credit-based bulk model instead of the legacy pipes.
-func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwidth, []string) {
+// bandwidth counters plus a rendering of its protocol counters. smallWindow
+// shrinks the bulk lane's chunks and credit window below the datablock
+// size, so streams split, interleave and park.
+func runFingerprint(t *testing.T, seed int64, smallWindow bool) ([]metrics.Bandwidth, []string) {
 	t.Helper()
 	const n = 7
 	q, err := types.NewQuorumParams(n)
@@ -35,8 +36,7 @@ func runFingerprint(t *testing.T, seed int64, streaming bool) ([]metrics.Bandwid
 	net.Seed = seed
 	net.Jitter = 200 * time.Microsecond
 	net.TickInterval = 2 * time.Millisecond
-	if streaming {
-		net.Bulk = simnet.BulkCredit
+	if smallWindow {
 		// A small window and chunk relative to the ~3 KiB datablocks so
 		// the run actually exercises chunk interleaving, parking and
 		// credit grants, not just single-chunk streams.
@@ -106,9 +106,9 @@ func TestDeterministicStatsAcrossRuns(t *testing.T) {
 }
 
 // TestDeterministicStatsWithStreaming extends the determinism guarantee
-// to the chunked credit-based bulk model: the per-pair chunk schedules,
-// credit grants and park/resume cycles are all heap events, so two
-// identically-seeded streaming runs must stay byte-identical too.
+// to a bulk lane that actually splits and parks: the per-pair chunk
+// schedules, credit grants and park/resume cycles are all heap events, so
+// two identically-seeded runs with a small window stay byte-identical too.
 func TestDeterministicStatsWithStreaming(t *testing.T) {
 	bw1, st1 := runFingerprint(t, 42, true)
 	bw2, st2 := runFingerprint(t, 42, true)
@@ -123,9 +123,8 @@ func TestDeterministicStatsWithStreaming(t *testing.T) {
 	if bw1[0].Total() == 0 {
 		t.Fatal("fingerprint run did no work")
 	}
-	// The streaming fingerprint must actually have streamed: credit
-	// grants show up as ClassMisc traffic, which the pipe model never
-	// produces.
+	// The fingerprint must actually have streamed under flow control:
+	// credit grants show up as ClassMisc traffic.
 	var misc int64
 	for i := range bw1 {
 		misc += bw1[i].Sent[transport.ClassMisc]

@@ -3,11 +3,13 @@
 //
 // The simulation stack (internal/simnet, internal/faultplan,
 // internal/harness, internal/experiments), the protocol state machine
-// (internal/leopard) and the trace/metrics layer they emit into
-// (internal/obs) promise that two identically-seeded runs are
-// byte-identical down to per-replica traffic counters — the property every
-// chaos regression (TestChaosDeterministic, TestRecoverScenarioDeterministic)
-// asserts and every fault schedule's reproducibility rests on. That promise
+// (internal/leopard), the bulk-lane scheduler simnet drives
+// (internal/transport, without its TCP runtime internal/transport/tcp)
+// and the trace/metrics layer they emit into (internal/obs) promise that
+// two identically-seeded runs are byte-identical down to per-replica
+// traffic counters — the property every chaos regression
+// (TestChaosDeterministic, TestRecoverScenarioDeterministic) asserts and
+// every fault schedule's reproducibility rests on. That promise
 // dies the moment any of these packages reads the wall clock, draws from a
 // process-global random source, or lets the Go scheduler order events. This
 // analyzer rejects, in non-test files of those packages:
@@ -54,6 +56,13 @@ var scopedPrefixes = []string{
 	"leopard/internal/experiments",
 }
 
+// scopedExact are import paths under the contract whose subpackages are
+// not: internal/transport holds the scheduler simnet runs in virtual time,
+// while internal/transport/tcp is the live runtime around it.
+var scopedExact = []string{
+	"leopard/internal/transport",
+}
+
 // forbiddenTimeFuncs are the wall-clock and scheduler-timer entry points of
 // package time.
 var forbiddenTimeFuncs = map[string]bool{
@@ -70,6 +79,11 @@ var allowedRandFuncs = map[string]bool{
 }
 
 func inScope(path string) bool {
+	for _, p := range scopedExact {
+		if path == p {
+			return true
+		}
+	}
 	for _, p := range scopedPrefixes {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true

@@ -20,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"leopard/internal/transport"
 )
 
 // EventKind identifies one lifecycle event type.
@@ -68,6 +70,14 @@ var kindNames = [numEventKinds]string{
 	EvCheckpointStable: "checkpoint_stable",
 	EvCreditParked:     "credit_parked",
 	EvCreditEvicted:    "credit_evicted",
+}
+
+// CreditKind maps a bulk-lane scheduler transition to its trace kind.
+func CreditKind(ev transport.StreamEvent) EventKind {
+	if ev == transport.StreamEvicted {
+		return EvCreditEvicted
+	}
+	return EvCreditParked
 }
 
 func (k EventKind) String() string {

@@ -58,22 +58,11 @@ type Config struct {
 	TickInterval time.Duration
 	// Seed feeds the deterministic RNG used for jitter.
 	Seed int64
-	// DisableLanePriority makes control-lane traffic queue FIFO behind
-	// bulk on the egress/ingress pipes instead of preempting it — the
-	// single-queue baseline for lane A/B experiments (the simulated mirror
-	// of tcp.Config.DisableLanes).
-	DisableLanePriority bool
-	// Bulk selects the bulk-lane model: the legacy unbounded pipes
-	// (BulkPipes, the default), a bounded per-pair queue that drops on
-	// overflow (BulkDrop, the PR 3 TCP baseline), or chunked streaming
-	// with credit-based per-peer flow control (BulkCredit, the current
-	// TCP runtime). See BulkModel.
-	Bulk BulkModel
-	// Stream tunes the BulkDrop queue bound (ParkBudget) and the
-	// BulkCredit chunking/credit parameters; zero fields take the
-	// transport package defaults. It is the same StreamConfig the TCP
-	// runtime uses, so a simulated sender splits and parks exactly where
-	// the real one would.
+	// Stream tunes bulk-lane chunking and credit-based flow control; zero
+	// fields take the transport package defaults. It is the same
+	// StreamConfig the TCP runtime uses, and the same StreamSched applies
+	// it, so a simulated sender splits, parks and evicts exactly where the
+	// real one would.
 	Stream transport.StreamConfig
 	// IngressBpsPer overrides IngressBps per replica when non-nil (zero
 	// entries keep the global rate). Used to model a slow receiver, e.g.
@@ -107,30 +96,6 @@ func DefaultConfig() Config {
 // Return false to drop the message silently.
 type Filter func(now time.Duration, from, to types.ReplicaID, msg transport.Message) bool
 
-// BulkModel selects how the simulator moves bulk-lane traffic.
-type BulkModel uint8
-
-const (
-	// BulkPipes is the legacy model: a bulk message books the sender's
-	// egress and the receiver's ingress pipes immediately and queues
-	// without bound. No drops, no flow control, no observable queue.
-	BulkPipes BulkModel = iota
-	// BulkDrop models the PR 3 TCP runtime: per (sender, receiver) pair
-	// the bulk lane is a bounded byte queue (Stream.ParkBudget) drained
-	// one whole frame at a time at the pace the receiver absorbs them;
-	// a frame arriving at a full queue is dropped (the protocol recovers
-	// via retrieval). This is the drop-on-overflow baseline the stream
-	// scenario compares against.
-	BulkDrop
-	// BulkCredit models the streaming TCP runtime: bulk frames become
-	// streams, split into chunks (Stream.ChunkLen) and interleaved
-	// round-robin per pair; each chunk debits the pair's credit window
-	// and the receiver grants consumed bytes back as control-lane
-	// CreditMsg traffic. At zero credit the flow parks; the park budget
-	// evicts the oldest unstarted streams (the only loss path).
-	BulkCredit
-)
-
 type eventKind uint8
 
 const (
@@ -142,15 +107,16 @@ const (
 )
 
 type event struct {
-	at   time.Duration
-	seq  uint64 // tie-break for determinism
-	kind eventKind
-	from types.ReplicaID
-	to   types.ReplicaID
-	msg  transport.Message
-	fn   func(now time.Duration)
-	flow *flow
-	n    int64 // chunk payload / granted bytes
+	at    time.Duration
+	seq   uint64 // tie-break for determinism
+	kind  eventKind
+	from  types.ReplicaID
+	to    types.ReplicaID
+	msg   transport.Message
+	fn    func(now time.Duration)
+	flow  *flow
+	n     int64  // chunk payload / cumulative granted bytes
+	epoch uint32 // connection epoch of a chunk or grant
 }
 
 type eventHeap []*event
@@ -199,8 +165,7 @@ type Network struct {
 	nodeClock []time.Duration
 	observer  func(now time.Duration, from, to types.ReplicaID, msg transport.Message)
 
-	// flows holds per-(sender, receiver) bulk flow state under the
-	// BulkDrop and BulkCredit models; nil under BulkPipes. flows[from] is
+	// flows holds per-(sender, receiver) bulk flow state. flows[from] is
 	// allocated lazily, flows[from][to] on first bulk send of the pair.
 	flows [][]*flow
 
@@ -286,10 +251,8 @@ func New(cfg Config, nodes []transport.Node) (*Network, error) {
 		nodeClock: make([]time.Duration, len(nodes)),
 		stats:     make([]metrics.Bandwidth, len(nodes)),
 		crashed:   make([]bool, len(nodes)),
+		flows:     make([][]*flow, len(nodes)),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.Bulk != BulkPipes {
-		n.flows = make([][]*flow, len(nodes))
 	}
 	n.snk.net = n
 	return n, nil
@@ -365,23 +328,28 @@ func (n *Network) nodeNow(id types.ReplicaID) time.Duration {
 	return t
 }
 
-// Crash stops delivering events to a replica; its in-flight output is lost.
+// Crash stops delivering events to a replica. Control messages reaching it
+// while crashed are lost; bulk sent to it parks in its senders' flows
+// until Restart.
 func (n *Network) Crash(id types.ReplicaID) { n.crashed[id] = true }
 
-// Restart resumes delivery to a crashed replica (its state is as it was)
-// and unparks every bulk flow toward it. Sim simplification: partial
-// stream state survives the crash, where a real receiver would force its
-// senders to rewind streams on reconnect.
+// Restart resumes delivery to a crashed replica (its state is as it was).
+// Every bulk flow toward it reconnects the way a TCP sender does: the
+// scheduler's ResetConn rewinds held streams to offset zero under a fresh
+// window and a new epoch, so chunks and grants of the old connection still
+// in flight are discarded on arrival, and each held stream is delivered
+// exactly once on the new connection.
 func (n *Network) Restart(id types.ReplicaID) {
 	n.crashed[id] = false
-	if n.flows == nil {
-		return
-	}
 	for _, row := range n.flows {
-		if row == nil || row[id] == nil {
+		if row == nil {
 			continue
 		}
-		n.flowPump(row[id])
+		if f := row[id]; f != nil {
+			f.sched.ResetConn()
+			f.consumed, f.granted = 0, 0
+			n.flowPump(f)
+		}
 	}
 }
 
@@ -391,19 +359,22 @@ func (n *Network) Restart(id types.ReplicaID) {
 // virtual time — emitting into the deterministic Sink like any other
 // event, so identically-seeded runs with identical Replace schedules stay
 // byte-identical. The restarted process has no outbound queue, so every
-// bulk flow originating at the slot is dropped (queued streams from the
-// old life die with it); flows toward the slot unpark as in Restart.
-// Sim simplification shared with Restart: in-flight messages addressed to
-// the old life may still deliver to the new one — a stray late frame the
-// protocol tolerates by design.
+// bulk flow originating at the slot is closed (queued streams from the old
+// life die with it; chunks already on the wire still land); flows toward
+// the slot reconnect as in Restart. Sim simplification: in-flight control
+// messages addressed to the old life may still deliver to the new one — a
+// stray late frame the protocol tolerates by design.
 func (n *Network) Replace(id types.ReplicaID, node transport.Node) error {
 	if int(node.ID()) != int(id) {
 		return fmt.Errorf("simnet: replacement for slot %d reports id %d", id, node.ID())
 	}
 	n.nodes[id] = node
-	if n.flows != nil {
-		n.flows[id] = nil // fresh outbound: old parked streams are lost
+	for _, f := range n.flows[id] {
+		if f != nil {
+			f.closed = true
+		}
 	}
+	n.flows[id] = nil
 	n.Restart(id)
 	node.Start(n.nodeNow(id), n.sinkFor(id))
 	return nil
@@ -449,8 +420,8 @@ func transmissionDelay(size int, bps float64) time.Duration {
 }
 
 // occupy charges d of transmission time on pipe[idx], starting no earlier
-// than earliest, and returns the completion time. Bulk-lane traffic queues
-// FIFO; control-lane traffic (preempt) models priority queuing: real stacks
+// than earliest, and returns the completion time. Bulk chunks queue FIFO;
+// control-lane traffic (preempt) models priority queuing: real stacks
 // interleave small control flows with bulk transfers instead of parking
 // them behind megabytes of payload, so control frames transmit immediately
 // while their bytes still count against the pipe's capacity (they are <1%
@@ -538,11 +509,9 @@ func (n *Network) arrival(from, to types.ReplicaID, txDone time.Duration) time.D
 	return arrive
 }
 
-// send routes one unicast message through the bandwidth model. The lane
-// decides pipe scheduling: control-lane messages preempt queued bulk on
-// both the egress and ingress pipes; bulk queues FIFO under the legacy
-// pipe model, or enters the pair's flow (bounded queue / credit stream)
-// under the BulkDrop and BulkCredit models.
+// send routes one unicast message through the bandwidth model. Control-
+// lane messages preempt queued bulk on both the egress and ingress pipes;
+// bulk-lane messages enter the pair's credit-controlled stream flow.
 func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane transport.Lane) {
 	if int(to) >= len(n.nodes) || from == to {
 		return
@@ -565,42 +534,36 @@ func (n *Network) send(from, to types.ReplicaID, msg transport.Message, lane tra
 	}
 	size := msg.WireSize()
 	n.stats[from].AddSent(msg.Class(), size)
-	if lane == transport.LaneBulk && n.flows != nil {
-		n.flowEnqueue(from, to, msg, size)
+	if lane == transport.LaneBulk {
+		f := n.flowFor(from, to)
+		f.sched.Enqueue(msg, size)
+		n.flowPump(f)
 		return
 	}
-	preempt := lane == transport.LaneControl && !n.cfg.DisableLanePriority
 	txRate, rxRate := n.rates(to)
 
 	// Egress: serialize through the sender's pipe.
-	txDone := occupy(n.egress, int(from), n.now, transmissionDelay(size, txRate), preempt)
+	txDone := occupy(n.egress, int(from), n.now, transmissionDelay(size, txRate), true)
 	// Propagation, then ingress: serialize through the receiver's pipe.
 	arrive := n.arrival(from, to, txDone)
-	rxDone := occupy(n.ingress, int(to), arrive, transmissionDelay(size, rxRate), preempt)
+	rxDone := occupy(n.ingress, int(to), arrive, transmissionDelay(size, rxRate), true)
 	n.push(&event{at: n.procDone(to, msg, rxDone), kind: evDeliver, from: from, to: to, msg: msg})
 }
 
-// flow is one (sender, receiver) pair's bulk lane under the BulkDrop or
-// BulkCredit model: the simulated mirror of the TCP runtime's per-peer
-// stream scheduler (BulkCredit) or bounded bulk queue (BulkDrop). All
-// state advances deterministically through heap events.
+// flow is one (sender, receiver) pair's bulk lane: the shared
+// transport.StreamSched the TCP runtime runs per peer, driven through heap
+// events in virtual time, plus the receiver's half of flow control.
 type flow struct {
 	from, to types.ReplicaID
-	streams  []*simStream
-	rr       int
-	inflight int64 // bytes booked on the pipes and not yet arrived
-	credit   int64 // BulkCredit: remaining send window
-	consumed int64 // BulkCredit: receiver bytes not yet granted back
-	queued   int64 // unsent bulk payload parked in this flow
-	peak     int64
-	evicts   int64
-}
-
-// simStream is one queued bulk message mid-stream.
-type simStream struct {
-	msg  transport.Message
-	size int
-	off  int
+	sched    *transport.StreamSched[transport.Message]
+	// consumed is the receiver's cumulative count of chunk bytes accepted
+	// on the current connection epoch; granted is the value it last
+	// granted back.
+	consumed, granted int64
+	// closed marks a flow whose sender was replaced: its scheduler died
+	// with the old process, so chunks already on the wire still land but
+	// nothing further is sent or granted.
+	closed bool
 }
 
 // flowFor returns (lazily creating) the pair's flow.
@@ -610,150 +573,62 @@ func (n *Network) flowFor(from, to types.ReplicaID) *flow {
 	}
 	f := n.flows[from][to]
 	if f == nil {
-		f = &flow{from: from, to: to, credit: n.cfg.Stream.CreditWindow}
+		f = &flow{from: from, to: to, sched: transport.NewStreamSched[transport.Message](n.cfg.Stream)}
+		f.sched.OnEvent = func(ev transport.StreamEvent, bytes int64) {
+			n.trace(from, obs.CreditKind(ev), uint64(to), bytes)
+		}
 		n.flows[from][to] = f
 	}
 	return f
 }
 
-// flowEnqueue admits one bulk message into the pair's flow, enforcing the
-// park budget: BulkDrop tail-drops the new frame like a full bounded
-// queue; BulkCredit evicts the oldest not-yet-started streams first (the
-// slow-peer eviction path) and drops the new frame only if the budget
-// still cannot fit it.
-func (n *Network) flowEnqueue(from, to types.ReplicaID, msg transport.Message, size int) {
-	f := n.flowFor(from, to)
-	budget := n.cfg.Stream.ParkBudget
-	if f.queued+int64(size) > budget {
-		if n.cfg.Bulk == BulkDrop {
-			f.evicts++
-			n.trace(from, obs.EvCreditEvicted, uint64(to), f.queued)
-			return
-		}
-		kept := f.streams[:0]
-		for _, st := range f.streams {
-			if f.queued+int64(size) > budget && st.off == 0 {
-				f.queued -= int64(st.size)
-				f.evicts++
-				n.trace(from, obs.EvCreditEvicted, uint64(to), f.queued)
-				continue
-			}
-			kept = append(kept, st)
-		}
-		f.streams = kept
-		f.rr = 0
-		if f.queued+int64(size) > budget {
-			f.evicts++
-			n.trace(from, obs.EvCreditEvicted, uint64(to), f.queued)
-			return
-		}
-	}
-	f.queued += int64(size)
-	if f.queued > f.peak {
-		f.peak = f.queued
-	}
-	f.streams = append(f.streams, &simStream{msg: msg, size: size})
-	n.flowPump(f)
-	if n.cfg.Bulk == BulkCredit && f.credit <= 0 && f.queued > 0 {
-		// The new frame (or its tail) parked awaiting a credit grant.
-		n.trace(from, obs.EvCreditParked, uint64(to), f.queued)
-	}
-}
-
-// flowPump books transfer units on the pipes until the flow's window is
-// full: round-robin chunks under BulkCredit (each debiting the credit
-// window, parking at zero credit), whole frames under BulkDrop (bounded
-// by the same window's worth of in-flight bytes, modeling the kernel
-// socket buffer ahead of PR 3's bounded queue). In both modes the window
-// caps the bytes booked-but-not-arrived, so a slow receiver backpressures
-// the queue exactly as a full TCP window would while the pipe stays full
-// within the window, and the parked backlog is observable (StreamStats).
+// flowPump books chunks on the pipes until the flow drains or parks at
+// zero credit. Chunks are written the moment they are booked (the
+// simulated wire never fails a write), so each one is confirmed at once.
+// The credit window caps the bytes booked but not yet granted back, so a
+// slow receiver backpressures the sender exactly as a full TCP window
+// would, while the parked backlog stays observable (StreamStats). A
+// crashed receiver accepts nothing: its flows hold their streams until
+// Restart reconnects them. A closed flow sends nothing more.
 func (n *Network) flowPump(f *flow) {
-	for n.flowBookOne(f) {
-	}
-}
-
-// flowBookOne books one unit; false means the flow is drained or parked.
-func (n *Network) flowBookOne(f *flow) bool {
-	if len(f.streams) == 0 || n.crashed[f.to] {
-		return false
-	}
-	var st *simStream
-	var chunk int
-	if n.cfg.Bulk == BulkDrop {
-		if f.inflight >= n.cfg.Stream.CreditWindow {
-			return false // socket buffer full: the queue holds the rest
-		}
-		st = f.streams[0]
-		chunk = st.size
-	} else {
-		if f.credit <= 0 {
-			return false // parked: a credit grant re-pumps
-		}
-		active := len(f.streams)
-		if active > n.cfg.Stream.MaxStreams {
-			active = n.cfg.Stream.MaxStreams
-		}
-		if f.rr >= active {
-			f.rr = 0
-		}
-		st = f.streams[f.rr]
-		chunk = n.cfg.Stream.ChunkLen(st.size, st.off)
-		if int64(chunk) > f.credit {
-			chunk = int(f.credit) // partial chunk, like the TCP scheduler
-		}
-		f.credit -= int64(chunk)
-	}
-	st.off += chunk
-	f.queued -= int64(chunk)
-	f.inflight += int64(chunk)
-	var final transport.Message
-	if st.off == st.size {
-		final = st.msg
-		if n.cfg.Bulk == BulkDrop {
-			f.streams = f.streams[1:]
-		} else {
-			f.streams = append(f.streams[:f.rr], f.streams[f.rr+1:]...)
-		}
-	} else {
-		f.rr++
-	}
-
-	txRate, rxRate := n.rates(f.to)
-	txDone := occupy(n.egress, int(f.from), n.now, transmissionDelay(chunk, txRate), false)
-	arrive := n.arrival(f.from, f.to, txDone)
-	rxDone := occupy(n.ingress, int(f.to), arrive, transmissionDelay(chunk, rxRate), false)
-	n.push(&event{at: rxDone, kind: evChunk, from: f.from, to: f.to, msg: final, flow: f, n: int64(chunk)})
-	return true
-}
-
-// chunkArrived handles evChunk: the unit finished its ingress transfer.
-// The receiver accounts consumed bytes toward a credit grant, the final
-// chunk of a stream schedules the message's delivery (through the CPU
-// stage), and the flow pumps its next unit.
-func (n *Network) chunkArrived(e *event) {
-	f := e.flow
-	f.inflight -= e.n
-	if n.crashed[f.to] {
-		// The chunk hits a dead receiver: it is lost (no delivery, no
-		// grant), but its credit refunds immediately — the sim's
-		// stand-in for the TCP sender's fresh window after the
-		// connection reset. Without the refund, a flow with a full
-		// window in flight at the crash would stay parked forever and
-		// Restart could never unpark it.
-		if n.cfg.Bulk == BulkCredit {
-			f.credit += e.n
-			if f.credit > n.cfg.Stream.CreditWindow {
-				f.credit = n.cfg.Stream.CreditWindow
-			}
-		}
+	if n.crashed[f.to] || f.closed {
 		return
 	}
-	if n.cfg.Bulk == BulkCredit {
+	txRate, rxRate := n.rates(f.to)
+	for {
+		c, ok := f.sched.Next()
+		if !ok {
+			return
+		}
+		f.sched.ChunkWritten()
+		var final transport.Message
+		if c.Header.Fin {
+			final = c.Item
+		}
+		txDone := occupy(n.egress, int(f.from), n.now, transmissionDelay(c.Len, txRate), false)
+		arrive := n.arrival(f.from, f.to, txDone)
+		rxDone := occupy(n.ingress, int(f.to), arrive, transmissionDelay(c.Len, rxRate), false)
+		n.push(&event{at: rxDone, kind: evChunk, from: f.from, to: f.to, msg: final,
+			flow: f, n: int64(c.Len), epoch: f.sched.Epoch()})
+	}
+}
+
+// chunkArrived handles evChunk: the chunk finished its ingress transfer.
+// A chunk reaching a crashed receiver, or riding a connection the
+// receiver's restart has since replaced, is lost. Otherwise the receiver
+// accounts the consumed bytes toward a credit grant, the final chunk of a
+// stream schedules the message's delivery (through the CPU stage), and the
+// flow pumps its next chunks.
+func (n *Network) chunkArrived(e *event) {
+	f := e.flow
+	if n.crashed[f.to] || e.epoch != f.sched.Epoch() {
+		return
+	}
+	if !f.closed {
 		f.consumed += e.n
-		if f.consumed >= n.cfg.Stream.GrantThreshold() {
-			n.sendGrant(f, f.consumed)
-			f.consumed = 0
+		if f.consumed-f.granted >= n.cfg.Stream.GrantThreshold() {
+			n.sendGrant(f)
+			f.granted = f.consumed
 		}
 	}
 	if e.msg != nil {
@@ -763,66 +638,47 @@ func (n *Network) chunkArrived(e *event) {
 }
 
 // sendGrant models the receiver's CreditMsg: a small control-lane frame
-// from f.to back to f.from, preempting queued bulk like any control
-// traffic, charged to both pipes and accounted under ClassMisc.
-func (n *Network) sendGrant(f *flow, bytes int64) {
-	grant := &transport.CreditMsg{Consumed: bytes}
+// from f.to back to f.from carrying the cumulative consumed counter and
+// the connection epoch, preempting queued bulk like any control traffic,
+// charged to both pipes and accounted under ClassMisc.
+func (n *Network) sendGrant(f *flow) {
+	grant := &transport.CreditMsg{Consumed: f.consumed}
 	size := grant.WireSize()
-	preempt := !n.cfg.DisableLanePriority
 	n.stats[f.to].AddSent(grant.Class(), size)
 	txRate, rxRate := n.rates(f.from)
-	txDone := occupy(n.egress, int(f.to), n.now, transmissionDelay(size, txRate), preempt)
+	txDone := occupy(n.egress, int(f.to), n.now, transmissionDelay(size, txRate), true)
 	arrive := n.arrival(f.to, f.from, txDone)
-	rxDone := occupy(n.ingress, int(f.from), arrive, transmissionDelay(size, rxRate), preempt)
+	rxDone := occupy(n.ingress, int(f.from), arrive, transmissionDelay(size, rxRate), true)
 	n.stats[f.from].AddReceived(grant.Class(), size)
-	n.push(&event{at: rxDone, kind: evCredit, flow: f, n: bytes})
+	n.push(&event{at: rxDone, kind: evCredit, flow: f, n: f.consumed, epoch: f.sched.Epoch()})
 }
 
-// creditArrived handles evCredit: the grant reopens the window (capped,
-// as in the TCP scheduler) and unparks the flow.
+// creditArrived handles evCredit: a grant of the current epoch reopens
+// the window and unparks the flow; the scheduler discards stale ones.
 func (n *Network) creditArrived(e *event) {
-	f := e.flow
-	f.credit += e.n
-	if f.credit > n.cfg.Stream.CreditWindow {
-		f.credit = n.cfg.Stream.CreditWindow
-	}
-	n.flowPump(f)
+	e.flow.sched.Grant(e.epoch, e.n)
+	n.flowPump(e.flow)
 }
 
 // StreamStats aggregates the bulk flow-control counters across every flow
 // originating at sender id: parked bytes, in-flight window, queued
-// streams and park-budget evictions. Zero under BulkPipes.
-func (n *Network) StreamStats(id types.ReplicaID) metrics.StreamStats {
-	var out metrics.StreamStats
-	if n.flows == nil || n.flows[id] == nil {
-		return out
-	}
+// streams and park-budget evictions.
+func (n *Network) StreamStats(id types.ReplicaID) transport.StreamStats {
+	var out transport.StreamStats
 	for _, f := range n.flows[id] {
-		if f == nil {
-			continue
+		if f != nil {
+			out.Accumulate(f.sched.Stats())
 		}
-		out.Accumulate(metrics.StreamStats{
-			QueuedBytes:        f.queued,
-			PeakQueuedBytes:    f.peak,
-			CreditsOutstanding: n.cfg.Stream.CreditWindow - f.credit,
-			StreamsActive:      int64(len(f.streams)),
-			Evictions:          f.evicts,
-		})
 	}
 	return out
 }
 
-// BulkDrops returns the bulk frames sender id lost to the park budget
-// (BulkCredit evictions or BulkDrop overflow).
-func (n *Network) BulkDrops(id types.ReplicaID) int64 {
-	return n.StreamStats(id).Evictions
-}
-
-// TotalBulkDrops sums BulkDrops over all senders.
+// TotalBulkDrops counts the bulk frames every sender lost to the park
+// budget.
 func (n *Network) TotalBulkDrops() int64 {
 	var total int64
 	for i := range n.nodes {
-		total += n.BulkDrops(types.ReplicaID(i))
+		total += n.StreamStats(types.ReplicaID(i)).Evictions
 	}
 	return total
 }

@@ -7,15 +7,14 @@ import (
 	"leopard/internal/transport"
 )
 
-// streamCfg returns a BulkCredit network configuration with reasoning-
-// friendly numbers: 1 MB/s pipes (1 KB ≈ 1 ms), small chunks and an
+// streamCfg returns a network configuration with reasoning-friendly
+// stream numbers: 1 MB/s pipes (1 KB ≈ 1 ms), small chunks and an
 // explicit window.
 func streamCfg(window int64) Config {
 	return Config{
 		EgressBps:  8e6, // 1 MB/s
 		IngressBps: 8e6,
 		Latency:    0,
-		Bulk:       BulkCredit,
 		Stream: transport.StreamConfig{
 			ChunkSize:       1000,
 			StreamThreshold: 1000,
@@ -87,30 +86,21 @@ func TestCreditWindowParksFlow(t *testing.T) {
 	}
 }
 
-// TestCreditInterleavingLetsSmallStreamFinishFirst: under BulkCredit a
-// small bulk message enqueued behind a huge one overtakes it (fair chunk
-// round-robin), while BulkDrop drains strictly FIFO. This is the
-// head-of-line-blocking cure inside the bulk lane itself.
+// TestCreditInterleavingLetsSmallStreamFinishFirst: a small bulk message
+// enqueued behind a huge one overtakes it (fair chunk round-robin). This
+// is the head-of-line-blocking cure inside the bulk lane itself.
 func TestCreditInterleavingLetsSmallStreamFinishFirst(t *testing.T) {
-	order := func(bulk BulkModel) []int {
-		// A window much smaller than the large message keeps its stream
-		// parked in the queue, where the later small stream can interleave.
-		cfg := streamCfg(10000)
-		cfg.Bulk = bulk
-		net, nodes := newTestNet(t, cfg, 2)
-		nodes[0].onStart = []transport.Envelope{
-			transport.Unicast(1, &testMsg{size: 100000, tag: 1}),
-			transport.Unicast(1, &testMsg{size: 2000, tag: 2}),
-		}
-		net.Start()
-		net.Run(time.Second)
-		return nodes[1].got
+	// A window much smaller than the large message keeps its stream
+	// parked in the queue, where the later small stream can interleave.
+	net, nodes := newTestNet(t, streamCfg(10000), 2)
+	nodes[0].onStart = []transport.Envelope{
+		transport.Unicast(1, &testMsg{size: 100000, tag: 1}),
+		transport.Unicast(1, &testMsg{size: 2000, tag: 2}),
 	}
-	if got := order(BulkCredit); len(got) != 2 || got[0] != 2 {
-		t.Fatalf("BulkCredit delivery order %v, want the small stream first", got)
-	}
-	if got := order(BulkDrop); len(got) != 2 || got[0] != 1 {
-		t.Fatalf("BulkDrop delivery order %v, want FIFO", got)
+	net.Start()
+	net.Run(time.Second)
+	if got := nodes[1].got; len(got) != 2 || got[0] != 2 {
+		t.Fatalf("delivery order %v, want the small stream first", got)
 	}
 }
 
@@ -148,33 +138,6 @@ func TestCreditNeverGrantsEvicts(t *testing.T) {
 	}
 	if st := net.StreamStats(0); st.QueuedBytes != 0 || st.StreamsActive != 0 {
 		t.Fatalf("flow not drained after restart: %+v", st)
-	}
-}
-
-// TestBulkDropBaselineDrops pins the drop-on-overflow baseline the stream
-// scenario compares against: the same stalled-receiver burst tail-drops
-// new frames at the bounded queue instead of evicting old ones.
-func TestBulkDropBaselineDrops(t *testing.T) {
-	cfg := streamCfg(1000)
-	cfg.Bulk = BulkDrop
-	cfg.Stream.ParkBudget = 10000
-	net, nodes := newTestNet(t, cfg, 2)
-	net.Start()
-	net.Crash(1)
-	net.ScheduleCall(time.Millisecond, func(now time.Duration) {
-		for i := 0; i < 6; i++ {
-			net.dispatch(0, transport.Unicast(1, &testMsg{size: 3000, tag: 10 + i}))
-		}
-	})
-	net.Run(100 * time.Millisecond)
-	if drops := net.BulkDrops(0); drops != 3 {
-		t.Fatalf("drops %d, want 3", drops)
-	}
-	net.Restart(1)
-	net.Run(time.Second)
-	// Tail drop keeps the oldest frames: tags 10, 11, 12.
-	if len(nodes[1].got) != 3 || nodes[1].got[0] != 10 {
-		t.Fatalf("baseline delivered %v, want the first three tags", nodes[1].got)
 	}
 }
 
@@ -219,7 +182,7 @@ func TestSlowReceiverIngressOverride(t *testing.T) {
 	}
 }
 
-// TestStreamDeterminism: identically-seeded BulkCredit runs with jitter
+// TestStreamDeterminism: identically-seeded streaming runs with jitter
 // produce identical chunk schedules, grants and delivery times.
 func TestStreamDeterminism(t *testing.T) {
 	run := func() []time.Duration {
@@ -249,10 +212,10 @@ func TestStreamDeterminism(t *testing.T) {
 }
 
 // TestCreditCrashMidFlightRecovers: chunks in flight when the receiver
-// crashes refund their credit (the sim's stand-in for the TCP window
-// reset on reconnect) — without the refund the flow would park forever
-// with the window "in flight" to a dead peer and Restart could never
-// unpark it.
+// crashes are lost with their credit, and Restart reconnects the flow
+// (ResetConn: fresh window, stream rewound to offset zero) — without the
+// reset the flow would park forever with the window "in flight" to a
+// dead peer.
 func TestCreditCrashMidFlightRecovers(t *testing.T) {
 	cfg := streamCfg(2000) // window = 2 chunks
 	net, nodes := newTestNet(t, cfg, 2)
@@ -269,8 +232,8 @@ func TestCreditCrashMidFlightRecovers(t *testing.T) {
 	if len(nodes[1].got) != 0 {
 		t.Fatal("crashed receiver got a delivery")
 	}
-	// The in-flight chunks' credit must have refunded: otherwise the
-	// flow is parked at zero credit forever.
+	// Restart must reopen the window: otherwise the flow is parked at
+	// zero credit forever.
 	net.Restart(1)
 	net.Run(10 * time.Second)
 	if len(nodes[1].got) != 1 || nodes[1].got[0] != 5 {

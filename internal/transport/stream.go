@@ -7,9 +7,10 @@ import (
 )
 
 // This file defines the bulk-lane streaming layer shared by the TCP runtime
-// and the simulator's credit-based bulk model: the stream chunk header, the
-// receive-side reassembler, the credit-grant message, and the configuration
-// both transports derive their chunking and flow-control decisions from.
+// and the simulator: the stream chunk header, the receive-side reassembler,
+// the credit-grant message, and the configuration the sender's scheduler
+// (StreamSched, sched.go) derives its chunking and flow-control decisions
+// from.
 // Keeping the policy here (one chunking function, one set of limits, one
 // grant threshold) is what lets the simnet model and the TCP runtime agree
 // byte-for-byte on how a given envelope is split and when a sender parks.

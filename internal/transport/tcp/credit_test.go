@@ -1,272 +1,23 @@
 package tcp
 
 import (
-	"bytes"
 	"encoding/binary"
-	"sync/atomic"
 	"testing"
 
 	"leopard/internal/transport"
 )
 
-// schedCfg is a small, easily reasoned-about flow-control configuration
-// used by the scheduler table tests: 100-byte chunks, 250-byte window,
-// 1000-byte park budget.
-func schedCfg() transport.StreamConfig {
-	cfg := transport.StreamConfig{
-		ChunkSize:       100,
-		StreamThreshold: 100,
-		CreditWindow:    250,
-		ParkBudget:      1000,
-		MaxStreams:      4,
-	}
-	cfg.Normalize()
-	return cfg
-}
-
-// drain pulls chunks until the scheduler parks, returning the payload
-// bytes pulled per chunk.
-func drain(s *streamSched) []int {
-	var sizes []int
-	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	for {
-		_, payload, ok := s.nextChunk(buf)
-		if !ok {
-			return sizes
-		}
-		s.chunkWritten() // the test wire never fails
-		sizes = append(sizes, len(payload))
-	}
-}
-
-// TestSchedDebitParkResume is the core grant/debit/park/resume sequence:
-// the window admits 250 bytes of a 400-byte stream (100-byte chunks, then
-// a 50-byte partial chunk spending the remaining credit), parks at zero
-// credit, and resumes exactly as far as each cumulative grant allows.
-func TestSchedDebitParkResume(t *testing.T) {
-	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 400))
-
-	if got := drain(s); len(got) != 3 || got[0] != 100 || got[1] != 100 || got[2] != 50 {
-		t.Fatalf("window-limited chunks %v, want [100 100 50]", got)
-	}
-	st := s.stats()
-	if st.CreditsOutstanding != 250 || st.QueuedBytes != 150 || st.StreamsActive != 1 {
-		t.Fatalf("parked stats %+v", st)
-	}
-	// Grant 100 consumed bytes (cumulative): exactly 100 more flow.
-	s.grant(0, 100)
-	if got := drain(s); len(got) != 1 || got[0] != 100 {
-		t.Fatalf("after grant(100): chunks %v, want [100]", got)
-	}
-	// A duplicate of the same cumulative grant is idempotent.
-	s.grant(0, 100)
-	if got := drain(s); len(got) != 0 {
-		t.Fatalf("duplicate grant released chunks %v", got)
-	}
-	// Granting everything completes the stream and empties the scheduler.
-	s.grant(0, 400)
-	if got := drain(s); len(got) != 1 || got[0] != 50 {
-		t.Fatalf("final chunks %v, want [50]", got)
-	}
-	st = s.stats()
-	if st.QueuedBytes != 0 || st.StreamsActive != 0 {
-		t.Fatalf("final stats %+v", st)
-	}
-	if drops.Load() != 0 {
-		t.Fatalf("flow control dropped %d frames", drops.Load())
-	}
-}
-
-// TestSchedGrantRacesCompletion: a grant arriving after the stream it paid
-// for already finished (the receiver consumed faster than it granted) must
-// not panic, must not create phantom streams, and must leave the full
-// window available for the next stream.
-func TestSchedGrantRacesCompletion(t *testing.T) {
-	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 200))
-	if got := drain(s); len(got) != 2 {
-		t.Fatalf("chunks %v, want 2", got)
-	}
-	// The stream is gone; now its grant lands.
-	s.grant(0, 200)
-	if st := s.stats(); st.CreditsOutstanding != 0 || st.StreamsActive != 0 {
-		t.Fatalf("stats after late grant %+v", st)
-	}
-	// A stale lower grant after a higher one must not shrink credit.
-	s.grant(0, 150)
-	s.enqueue(make([]byte, 250))
-	if got := drain(s); len(got) != 3 || got[0]+got[1]+got[2] != 250 {
-		t.Fatalf("full window not available after late grants: %v", got)
-	}
-}
-
-// TestSchedNeverGrantsEvicts is the park-budget eviction path: a peer that
-// never grants credit beyond the initial window accumulates parked
-// streams until the budget is hit, at which point the oldest not-yet-
-// started streams are evicted (counted as drops) and newer data survives.
-func TestSchedNeverGrantsEvicts(t *testing.T) {
-	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	// First stream starts transmitting (exhausts the 250-byte window).
-	s.enqueue(make([]byte, 400))
-	if got := drain(s); len(got) != 3 {
-		t.Fatalf("chunks %v", got)
-	}
-	// Budget is 1000; 150 remain parked. Fill with two 300-byte streams.
-	s.enqueue(make([]byte, 300))
-	s.enqueue(make([]byte, 300))
-	if st := s.stats(); st.QueuedBytes != 750 || st.Evictions != 0 {
-		t.Fatalf("pre-eviction stats %+v", st)
-	}
-	// 300 more would exceed the budget: the oldest unstarted stream (the
-	// first 300) is evicted; the mid-transmission stream must survive.
-	s.enqueue(make([]byte, 300))
-	st := s.stats()
-	if st.Evictions != 1 || drops.Load() != 1 {
-		t.Fatalf("evictions %d drops %d, want 1/1", st.Evictions, drops.Load())
-	}
-	if st.QueuedBytes != 750 || st.StreamsActive != 3 {
-		t.Fatalf("post-eviction stats %+v", st)
-	}
-	// A frame larger than the whole budget can never fit: eviction empties
-	// both remaining unstarted streams, then the frame itself is dropped
-	// (1 earlier + 2 parked + 1 oversized = 4).
-	s.enqueue(make([]byte, 2000))
-	if st := s.stats(); st.Evictions != 4 {
-		t.Fatalf("evictions %d, want 4", st.Evictions)
-	}
-	// The partially transmitted stream is never evicted.
-	if st := s.stats(); st.StreamsActive != 1 || st.QueuedBytes != 150 {
-		t.Fatalf("mid-transmission stream evicted: %+v", s.stats())
-	}
-}
-
-// TestSchedRoundRobinInterleavesStreams: chunks of concurrent streams
-// alternate instead of finishing one stream before starting the next.
-func TestSchedRoundRobinInterleavesStreams(t *testing.T) {
-	cfg := schedCfg()
-	cfg.CreditWindow = 1 << 20 // no credit noise
-	var drops atomic.Int64
-	s := newStreamSched(cfg, &drops)
-	a := bytes.Repeat([]byte{'a'}, 300)
-	b := bytes.Repeat([]byte{'b'}, 300)
-	s.enqueue(a)
-	s.enqueue(b)
-	var tags []byte
-	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	for {
-		_, payload, ok := s.nextChunk(buf)
-		if !ok {
-			break
-		}
-		tags = append(tags, payload[0])
-	}
-	if string(tags) != "ababab" {
-		t.Fatalf("chunk interleaving %q, want fair round-robin \"ababab\"", tags)
-	}
-}
-
-// TestSchedResetConnRewinds: a reconnect must rewind partially sent
-// streams to offset zero under a fresh window, so the new connection's
-// reassembler sees every stream from its first byte.
-func TestSchedResetConnRewinds(t *testing.T) {
-	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 400))
-	drain(s) // 250 sent, parked
-	s.resetConn()
-	st := s.stats()
-	if st.QueuedBytes != 400 || st.CreditsOutstanding != 0 {
-		t.Fatalf("post-reset stats %+v", st)
-	}
-	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	body, _, ok := s.nextChunk(buf)
-	if !ok {
-		t.Fatal("nothing to send after reset")
-	}
-	hdr, _, err := transport.ParseStreamHeader(body[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Offset != 0 {
-		t.Fatalf("first chunk after reset at offset %d, want 0", hdr.Offset)
-	}
-}
-
-// TestSchedChunksReassemble closes the loop: everything the scheduler
-// emits feeds a Reassembler and must rebuild the original frames exactly.
-func TestSchedChunksReassemble(t *testing.T) {
-	cfg := schedCfg()
-	var drops atomic.Int64
-	s := newStreamSched(cfg, &drops)
-	frames := [][]byte{
-		bytes.Repeat([]byte{1}, 450),
-		bytes.Repeat([]byte{2}, 99),
-		bytes.Repeat([]byte{3}, 301),
-	}
-	for _, f := range frames {
-		s.enqueue(f)
-	}
-	asm := transport.NewReassembler(cfg, 1<<20)
-	var got [][]byte
-	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	var consumed, granted int64 // cumulative, like a real receiver
-	for {
-		body, payload, ok := s.nextChunk(buf)
-		if !ok {
-			if consumed > granted {
-				s.grant(0, consumed) // play the receiver: grant everything
-				granted = consumed
-				continue
-			}
-			break
-		}
-		s.chunkWritten()
-		hdr, _, err := transport.ParseStreamHeader(body[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		complete, err := asm.Add(hdr, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		consumed += int64(len(payload))
-		if complete != nil {
-			got = append(got, complete)
-		}
-	}
-	if len(got) != len(frames) {
-		t.Fatalf("reassembled %d frames, want %d", len(got), len(frames))
-	}
-	for _, f := range frames {
-		found := false
-		for _, g := range got {
-			if bytes.Equal(f, g) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("frame of %d bytes not reassembled intact", len(f))
-		}
-	}
-}
-
 // BenchmarkStreamSend measures the chunking hot path: enqueue a bulk
-// frame, pull every chunk through the scheduler and feed the reassembler,
-// with credits granted as consumed — the full streaming overhead minus the
-// socket. CI runs this as a smoke test so chunking regressions fail
+// frame, pull every chunk through the locked bulk lane and feed the
+// reassembler, with credits granted as consumed — the full streaming
+// overhead minus the socket. CI runs this as a smoke test so chunking regressions fail
 // loudly.
 func BenchmarkStreamSend(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20} {
 		b.Run(sizeLabel(size), func(b *testing.B) {
 			cfg := transport.StreamConfig{}
 			cfg.Normalize()
-			var drops atomic.Int64
-			s := newStreamSched(cfg, &drops)
+			l := newBulkLane(cfg)
 			asm := transport.NewReassembler(cfg, 64<<20)
 			frame := make([]byte, size)
 			buf := make([]byte, 0, 1+transport.StreamHeaderSize)
@@ -275,14 +26,14 @@ func BenchmarkStreamSend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.enqueue(frame)
+				l.enqueue(frame)
 				for {
-					body, payload, ok := s.nextChunk(buf)
+					body, payload, ok := l.nextChunk(buf)
 					if !ok {
-						s.grant(0, consumed)
+						l.grant(0, consumed)
 						continue
 					}
-					s.chunkWritten()
+					l.chunkWritten()
 					hdr, _, err := transport.ParseStreamHeader(body[1:])
 					if err != nil {
 						b.Fatal(err)
@@ -324,91 +75,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
-}
-
-// TestSchedFinChunkSurvivesReconnect: a stream whose final chunk was
-// dequeued but never confirmed written (the connection died mid-write)
-// must be requeued by resetConn and retransmitted from offset zero —
-// previously it was silently lost with no drop counted.
-func TestSchedFinChunkSurvivesReconnect(t *testing.T) {
-	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	s.enqueue(make([]byte, 50)) // single fin chunk
-	buf := make([]byte, 0, 1+transport.StreamHeaderSize)
-	if _, _, ok := s.nextChunk(buf); !ok {
-		t.Fatal("nothing to send")
-	}
-	// No chunkWritten: the write failed. The stream must still be
-	// accounted and survive the reconnect.
-	if st := s.stats(); st.StreamsActive != 1 {
-		t.Fatalf("un-acked fin chunk not tracked: %+v", st)
-	}
-	s.resetConn()
-	if st := s.stats(); st.StreamsActive != 1 || st.QueuedBytes != 50 {
-		t.Fatalf("fin-chunk stream lost across reconnect: %+v", st)
-	}
-	body, payload, ok := s.nextChunk(buf)
-	if !ok {
-		t.Fatal("stream not retransmitted after reconnect")
-	}
-	hdr, _, err := transport.ParseStreamHeader(body[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Offset != 0 || !hdr.Fin || len(payload) != 50 {
-		t.Fatalf("retransmission hdr %+v payload %d, want full frame from 0", hdr, len(payload))
-	}
-	s.chunkWritten() // this time the wire cooperates
-	if st := s.stats(); st.StreamsActive != 0 || drops.Load() != 0 {
-		t.Fatalf("final stats %+v drops %d", st, drops.Load())
-	}
-	// A fin chunk that WAS confirmed written must not be requeued.
-	s.enqueue(make([]byte, 50))
-	if _, _, ok := s.nextChunk(buf); !ok {
-		t.Fatal("nothing to send")
-	}
-	s.chunkWritten()
-	s.resetConn()
-	if st := s.stats(); st.StreamsActive != 0 {
-		t.Fatalf("acked stream duplicated across reconnect: %+v", st)
-	}
-}
-
-// TestSchedStaleEpochGrantIgnored: grants travel on the reverse-direction
-// connection, which survives a data-connection reset — a grant carrying
-// the dead connection's cumulative counter must not inflate the fresh
-// window.
-func TestSchedStaleEpochGrantIgnored(t *testing.T) {
-	var drops atomic.Int64
-	s := newStreamSched(schedCfg(), &drops)
-	e1 := s.resetConn()
-	s.enqueue(make([]byte, 400))
-	if got := drain(s); len(got) != 3 {
-		t.Fatalf("chunks %v", got)
-	}
-	// A huge grant from another epoch (in flight across the reconnect).
-	s.grant(e1+7, 1<<40)
-	if got := drain(s); len(got) != 0 {
-		t.Fatalf("stale-epoch grant released chunks %v", got)
-	}
-	if st := s.stats(); st.CreditsOutstanding != 250 {
-		t.Fatalf("stale-epoch grant corrupted the window: %+v", st)
-	}
-	// The current epoch's grant works.
-	s.grant(e1, 250)
-	if got := drain(s); len(got) != 2 || got[0]+got[1] != 150 {
-		t.Fatalf("current-epoch grant: chunks %v, want the remaining 150", got)
-	}
-	// After another reconnect, the old epoch's grants are stale too.
-	e2 := s.resetConn()
-	if e2 == e1 {
-		t.Fatal("epoch did not advance on reconnect")
-	}
-	drain(s) // spend the fresh window
-	s.grant(e1, 1<<40)
-	if got := drain(s); len(got) != 0 {
-		t.Fatalf("previous-epoch grant released chunks %v", got)
-	}
 }
 
 // TestPeerGrantMailboxCoalesces: the per-peer grant mailbox keeps only

@@ -2,265 +2,88 @@ package tcp
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"leopard/internal/metrics"
-	"leopard/internal/obs"
 	"leopard/internal/transport"
 )
 
-// streamSched is one peer's bulk-lane scheduler: it holds the bulk frames
-// the node has emitted to that peer as streams, slices them into chunks in
-// round-robin order across the active streams, and debits the peer's credit
-// window per chunk. At zero credit it parks (nextChunk reports nothing to
-// send) instead of dropping; the park budget bounds how much a peer that
-// never grants credit can pin, with the oldest not-yet-started streams
-// evicted beyond it.
+// bulkLane is one peer's bulk lane: the shared transport.StreamSched
+// behind a mutex, plus the wake-up channel the send loop parks on.
 //
 // Locking: the apply loop enqueues, the read loop grants, the send loop
 // consumes; all three synchronize on mu. notify is a 1-buffered wake-up
 // channel: any state change that could unpark the send loop signals it, so
 // the send loop can block on (stop | control | notify) without missing a
-// transition.
-type streamSched struct {
+// transition. The scheduler's OnEvent hook runs with mu held.
+type bulkLane struct {
 	mu     sync.Mutex
-	cfg    transport.StreamConfig
+	sched  *transport.StreamSched[[]byte]
 	notify chan struct{}
-
-	streams []*outStream
-	// sending holds a stream whose final chunk has been handed to the
-	// send loop but not yet confirmed written (chunkWritten). It is out
-	// of the round-robin set, yet must survive a reconnect: resetConn
-	// requeues it, so a fin chunk that dies with the connection is
-	// retransmitted instead of silently lost.
-	sending *outStream
-	rr      int    // round-robin cursor over the active transmit set
-	nextID  uint64 // per-connection stream id allocator
-
-	// epoch numbers the peer connection. It increments on every
-	// resetConn, is announced to the receiver in the hello, and stamps
-	// every credit grant: the cumulative counters below are meaningless
-	// across connections, so a grant still in flight from a dead
-	// connection (grants travel on the reverse-direction connection,
-	// which does not reset with this one) is discarded by its stale
-	// epoch instead of inflating the fresh window.
-	epoch uint32
-
-	// Credit accounting is cumulative per connection epoch: sent counts
-	// chunk payload bytes written, acked is the receiver's cumulative
-	// consumed counter (CreditMsg), and the available credit is
-	// CreditWindow - (sent - acked). Cumulative counters make grants
-	// idempotent: a duplicated or reordered grant is healed by max().
-	sent  int64
-	acked int64
-
-	queued int64 // unsent bulk payload bytes across all streams
-	peak   int64
-	evicts int64
-	drops  *atomic.Int64 // the peer's drop counter (shared with control)
-
-	// trace, when set, emits a flow-control lifecycle event (park or
-	// eviction) for this peer; the runtime installs it when Config.Tracer
-	// is set. Called with mu held — the tracer has its own lock and never
-	// calls back into the scheduler.
-	trace func(kind obs.EventKind, aux int64)
 }
 
-// outStream is one queued bulk frame mid-transmission.
-type outStream struct {
-	id    uint64
-	frame []byte
-	off   int
-}
-
-func newStreamSched(cfg transport.StreamConfig, drops *atomic.Int64) *streamSched {
-	return &streamSched{cfg: cfg, notify: make(chan struct{}, 1), drops: drops}
+func newBulkLane(cfg transport.StreamConfig) *bulkLane {
+	return &bulkLane{sched: transport.NewStreamSched[[]byte](cfg), notify: make(chan struct{}, 1)}
 }
 
 // signal wakes the send loop; the 1-buffered channel coalesces bursts.
-func (s *streamSched) signal() {
+func (l *bulkLane) signal() {
 	select {
-	case s.notify <- struct{}{}:
+	case l.notify <- struct{}{}:
 	default:
 	}
 }
 
-// enqueue accepts one bulk frame as a new stream. If parking it would
-// exceed the park budget, the oldest streams that have not started
-// transmitting are evicted first; if the budget still cannot fit the frame
-// (everything left is mid-transmission, or the frame alone exceeds the
-// budget) the new frame is dropped. Every eviction/drop counts against the
-// peer's drop counter.
-func (s *streamSched) enqueue(frame []byte) {
-	size := int64(len(frame))
-	s.mu.Lock()
-	if s.queued+size > s.cfg.ParkBudget {
-		kept := s.streams[:0]
-		for _, st := range s.streams {
-			if s.queued+size > s.cfg.ParkBudget && st.off == 0 {
-				s.queued -= int64(len(st.frame))
-				s.evicts++
-				s.drops.Add(1)
-				if s.trace != nil {
-					s.trace(obs.EvCreditEvicted, s.queued)
-				}
-				continue
-			}
-			kept = append(kept, st)
-		}
-		s.streams = kept
-		s.rr = 0
-	}
-	if s.queued+size > s.cfg.ParkBudget {
-		s.evicts++
-		s.drops.Add(1)
-		if s.trace != nil {
-			s.trace(obs.EvCreditEvicted, s.queued)
-		}
-		s.mu.Unlock()
-		return
-	}
-	s.queued += size
-	if s.queued > s.peak {
-		s.peak = s.queued
-	}
-	s.streams = append(s.streams, &outStream{id: s.nextID, frame: frame})
-	s.nextID++
-	if s.trace != nil && s.creditLocked() <= 0 {
-		// The new stream parked immediately: zero credit at admission.
-		s.trace(obs.EvCreditParked, s.queued)
-	}
-	s.mu.Unlock()
-	s.signal()
+// enqueue accepts one encoded bulk frame as a new stream.
+func (l *bulkLane) enqueue(frame []byte) {
+	l.mu.Lock()
+	l.sched.Enqueue(frame, len(frame))
+	l.mu.Unlock()
+	l.signal()
 }
 
-// grant applies a receiver credit grant (cumulative consumed bytes) if it
-// carries the current connection epoch; grants from a dead connection are
-// discarded.
-func (s *streamSched) grant(epoch uint32, consumed int64) {
-	s.mu.Lock()
-	if epoch == s.epoch && consumed > s.acked {
-		s.acked = consumed
-	}
-	s.mu.Unlock()
-	s.signal()
+// grant applies a receiver credit grant for the given connection epoch.
+func (l *bulkLane) grant(epoch uint32, consumed int64) {
+	l.mu.Lock()
+	l.sched.Grant(epoch, consumed)
+	l.mu.Unlock()
+	l.signal()
 }
 
-// credit returns the available window. Callers hold mu.
-func (s *streamSched) creditLocked() int64 {
-	return s.cfg.CreditWindow - (s.sent - s.acked)
-}
-
-// nextChunk picks the next chunk in round-robin order across the active
-// transmit set (the first MaxStreams queued streams) and debits the credit
-// window. It appends the wire body prefix (frame kind + stream header) to
-// dst[:0] and returns it with the payload slice; ok is false when there is
-// nothing sendable — no streams, or zero credit (parked).
-func (s *streamSched) nextChunk(dst []byte) (body, payload []byte, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.streams) == 0 {
+// nextChunk takes the next chunk from the scheduler. It appends the wire
+// body prefix (frame kind + stream header) to dst[:0] and returns it with
+// the payload slice; ok is false when nothing is sendable (no streams, or
+// parked at zero credit).
+func (l *bulkLane) nextChunk(dst []byte) (body, payload []byte, ok bool) {
+	l.mu.Lock()
+	c, ok := l.sched.Next()
+	l.mu.Unlock()
+	if !ok {
 		return nil, nil, false
-	}
-	credit := s.creditLocked()
-	if credit <= 0 {
-		return nil, nil, false
-	}
-	active := len(s.streams)
-	if active > s.cfg.MaxStreams {
-		active = s.cfg.MaxStreams
-	}
-	if s.rr >= active {
-		s.rr = 0
-	}
-	st := s.streams[s.rr]
-	n := s.cfg.ChunkLen(len(st.frame), st.off)
-	if int64(n) > credit {
-		// Partial chunk: spend the remaining credit rather than stalling
-		// until a full chunk's worth is granted.
-		n = int(credit)
-	}
-	hdr := transport.StreamHeader{
-		StreamID: st.id,
-		Offset:   uint64(st.off),
-		Total:    uint64(len(st.frame)),
-		Fin:      st.off+n == len(st.frame),
-	}
-	payload = st.frame[st.off : st.off+n]
-	st.off += n
-	s.sent += int64(n)
-	s.queued -= int64(n)
-	if hdr.Fin {
-		s.streams = append(s.streams[:s.rr], s.streams[s.rr+1:]...)
-		// rr now points at the next stream (or wraps at the top). The
-		// stream is parked in the sending slot until the send loop
-		// confirms the fin chunk reached the wire; a write failure
-		// abandons the chunk and resetConn requeues the stream.
-		s.sending = st
-	} else {
-		s.rr++
 	}
 	body = append(dst[:0], frameKindChunk)
-	body = transport.AppendStreamHeader(body, hdr)
-	return body, payload, true
+	body = transport.AppendStreamHeader(body, c.Header)
+	return body, c.Item[c.Header.Offset : int(c.Header.Offset)+c.Len], true
 }
 
-// chunkWritten confirms the last dequeued chunk reached the wire,
-// releasing the stream held in the sending slot (no-op for non-fin
-// chunks).
-func (s *streamSched) chunkWritten() {
-	s.mu.Lock()
-	s.sending = nil
-	s.mu.Unlock()
+// chunkWritten confirms the last chunk reached the wire.
+func (l *bulkLane) chunkWritten() {
+	l.mu.Lock()
+	l.sched.ChunkWritten()
+	l.mu.Unlock()
 }
 
-// resetConn rewinds the scheduler for a fresh connection and returns its
-// new epoch: the receiver lost all partial-stream and credit state with
-// the old one, so every stream — including one whose fin chunk was in
-// flight when the connection died — retransmits from offset zero under a
-// full window. Stream ids restart too; the new connection gets a new
-// reassembler.
-func (s *streamSched) resetConn() uint32 {
-	s.mu.Lock()
-	s.epoch++
-	s.sent, s.acked = 0, 0
-	if s.sending != nil {
-		s.streams = append(s.streams, nil)
-		copy(s.streams[1:], s.streams)
-		s.streams[0] = s.sending
-		s.sending = nil
-	}
-	s.rr = 0
-	s.queued = 0
-	for i, st := range s.streams {
-		st.off = 0
-		st.id = uint64(i)
-		s.queued += int64(len(st.frame))
-	}
-	s.nextID = uint64(len(s.streams))
-	if s.queued > s.peak {
-		s.peak = s.queued
-	}
-	epoch := s.epoch
-	s.mu.Unlock()
-	s.signal()
+// resetConn rewinds the scheduler for a fresh connection and returns the
+// epoch the new connection's hello announces.
+func (l *bulkLane) resetConn() uint32 {
+	l.mu.Lock()
+	epoch := l.sched.ResetConn()
+	l.mu.Unlock()
+	l.signal()
 	return epoch
 }
 
 // stats snapshots the scheduler's flow-control counters.
-func (s *streamSched) stats() metrics.StreamStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.creditLocked()
-	active := int64(len(s.streams))
-	if s.sending != nil {
-		active++
-	}
-	return metrics.StreamStats{
-		QueuedBytes:        s.queued,
-		PeakQueuedBytes:    s.peak,
-		CreditsOutstanding: s.cfg.CreditWindow - out,
-		StreamsActive:      active,
-		Evictions:          s.evicts,
-	}
+func (l *bulkLane) stats() transport.StreamStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sched.Stats()
 }

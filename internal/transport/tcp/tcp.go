@@ -13,7 +13,8 @@
 //
 // The bulk lane streams: every bulk frame becomes a stream, large frames
 // are split into fixed-size chunks (transport.StreamHeader), and the
-// per-peer scheduler interleaves chunks fairly across the streams queued to
+// per-peer scheduler (transport.StreamSched, the same state machine the
+// simulator drives) interleaves chunks fairly across the streams queued to
 // that peer. Delivery of a control frame therefore waits at most one chunk,
 // even mid-transfer. Instead of a bounded queue that drops on overflow, the
 // bulk lane runs credit-based per-peer flow control: the receiver's read
@@ -41,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leopard/internal/metrics"
 	"leopard/internal/obs"
 	"leopard/internal/transport"
 	"leopard/internal/types"
@@ -60,8 +60,7 @@ type Codec = transport.Codec
 // Wire frame kinds. Every frame after the hello is length-prefixed and
 // starts with one of these tags.
 const (
-	// frameKindMsg is a whole codec frame (control lane, plus everything
-	// in DisableLanes mode).
+	// frameKindMsg is a whole codec frame (the control lane).
 	frameKindMsg = 0x00
 	// frameKindChunk is a bulk stream chunk: transport.StreamHeader
 	// followed by payload bytes.
@@ -101,19 +100,9 @@ type Config struct {
 	// 4096 frames). Control frames are small; the depth is sized for vote
 	// bursts at large n. Overflow drops the frame.
 	ControlQueue int
-	// BulkQueue is the per-peer queue depth used only by the DisableLanes
-	// single-FIFO baseline (default 256 frames). With lanes enabled the
-	// bulk lane has no frame queue: it streams under Stream's credit
-	// window and park budget instead.
-	BulkQueue int
 	// Stream tunes bulk-lane chunking and credit-based flow control; zero
 	// fields take the transport package defaults.
 	Stream transport.StreamConfig
-	// DisableLanes collapses outbound scheduling to a single FIFO (every
-	// frame rides one bounded queue, sized ControlQueue+BulkQueue, no
-	// streaming, drop on overflow). This is the pre-lane behaviour, kept
-	// as an A/B baseline for benchmarks.
-	DisableLanes bool
 	// Tracer, when set, receives bulk-lane flow-control events (credit
 	// parks, park-budget evictions) stamped with the runtime's relative
 	// clock (time since Run). Event IDs carry the peer replica id.
@@ -148,9 +137,6 @@ func (c *Config) validate() error {
 	if c.ControlQueue <= 0 {
 		c.ControlQueue = 4096
 	}
-	if c.BulkQueue <= 0 {
-		c.BulkQueue = 256
-	}
 	c.Stream.Normalize()
 	return nil
 }
@@ -178,6 +164,12 @@ type Runtime struct {
 	stop    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
+
+	// inbound holds the accepted (receive-only) connections so Stop can
+	// close them: a read loop blocked on an idle peer would otherwise keep
+	// Run from returning until that peer sent a frame or hung up.
+	inboundMu sync.Mutex
+	inbound   map[net.Conn]struct{}
 }
 
 // peer is one outbound connection. The apply loop is the only producer;
@@ -190,11 +182,8 @@ type peer struct {
 	// control carries kind-prefixed control-lane wire bodies,
 	// transmitted strictly before bulk chunks.
 	control chan []byte
-	// bulk is the DisableLanes single FIFO; nil with lanes enabled.
-	bulk chan []byte
-	// sched streams the bulk lane under credit flow control; nil in
-	// DisableLanes mode.
-	sched *streamSched
+	// bulk streams the bulk lane under credit flow control.
+	bulk  *bulkLane
 	drops atomic.Int64
 
 	// The grant mailbox holds the newest credit grant owed to this peer.
@@ -260,28 +249,28 @@ func New(cfg Config, node transport.Node) (*Runtime, error) {
 		// goroutines feeding one apply loop; its size bounds memory, and
 		// readers block (applying TCP backpressure, which in turn stalls
 		// credit grants) when it fills.
-		events: make(chan event, 4096),
-		local:  make(chan func(now time.Duration, out transport.Sink), 256),
-		stop:   make(chan struct{}),
+		events:  make(chan event, 4096),
+		local:   make(chan func(now time.Duration, out transport.Sink), 256),
+		stop:    make(chan struct{}),
+		inbound: make(map[net.Conn]struct{}),
 	}
 	for id, addr := range cfg.Addrs {
 		if types.ReplicaID(id) == cfg.Self {
 			r.peers = append(r.peers, nil)
 			continue
 		}
-		p := &peer{id: types.ReplicaID(id), addr: addr, grantNotify: make(chan struct{}, 1)}
-		if cfg.DisableLanes {
-			// Single-FIFO baseline: everything rides one queue.
-			p.bulk = make(chan []byte, cfg.ControlQueue+cfg.BulkQueue)
-		} else {
-			p.control = make(chan []byte, cfg.ControlQueue)
-			p.sched = newStreamSched(cfg.Stream, &p.drops)
-			if cfg.Tracer != nil {
-				pid := p.id
-				p.sched.trace = func(kind obs.EventKind, aux int64) {
-					cfg.Tracer.Emit(r.now(), kind, 0, uint64(pid), aux)
-				}
+		p := &peer{
+			id:          types.ReplicaID(id),
+			addr:        addr,
+			control:     make(chan []byte, cfg.ControlQueue),
+			bulk:        newBulkLane(cfg.Stream),
+			grantNotify: make(chan struct{}, 1),
+		}
+		p.bulk.sched.OnEvent = func(ev transport.StreamEvent, bytes int64) {
+			if ev == transport.StreamEvicted {
+				p.drops.Add(1)
 			}
+			cfg.Tracer.Emit(r.now(), obs.CreditKind(ev), 0, uint64(p.id), bytes)
 		}
 		r.peers = append(r.peers, p)
 	}
@@ -326,7 +315,12 @@ func (r *Runtime) Run(ctx context.Context) error {
 // Stop shuts the runtime down and waits for its goroutines.
 func (r *Runtime) Stop() {
 	r.stopped.Do(func() {
+		r.inboundMu.Lock()
 		close(r.stop)
+		for c := range r.inbound {
+			c.Close()
+		}
+		r.inboundMu.Unlock()
 		if r.listener != nil {
 			r.listener.Close()
 		}
@@ -356,24 +350,24 @@ func (r *Runtime) Drops(id types.ReplicaID) int64 {
 }
 
 // StreamStats returns the bulk-lane flow-control counters toward peer id
-// (zero value for the self slot and in DisableLanes mode).
-func (r *Runtime) StreamStats(id types.ReplicaID) metrics.StreamStats {
-	if int(id) >= len(r.peers) || r.peers[id] == nil || r.peers[id].sched == nil {
-		return metrics.StreamStats{}
+// (zero value for the self slot).
+func (r *Runtime) StreamStats(id types.ReplicaID) transport.StreamStats {
+	if int(id) >= len(r.peers) || r.peers[id] == nil {
+		return transport.StreamStats{}
 	}
-	return r.peers[id].sched.stats()
+	return r.peers[id].bulk.stats()
 }
 
 // StreamTotals aggregates StreamStats across all peers: total parked
 // bytes, credits in flight and active streams, with the peak as the max
 // over peers.
-func (r *Runtime) StreamTotals() metrics.StreamStats {
-	var total metrics.StreamStats
+func (r *Runtime) StreamTotals() transport.StreamStats {
+	var total transport.StreamStats
 	for _, p := range r.peers {
-		if p == nil || p.sched == nil {
+		if p == nil {
 			continue
 		}
-		total.Accumulate(p.sched.stats())
+		total.Accumulate(p.bulk.stats())
 	}
 	return total
 }
@@ -439,7 +433,7 @@ func (r *Runtime) emit(env transport.Envelope) {
 	}
 	lane := env.EffectiveLane()
 	var body []byte
-	if lane != transport.LaneBulk || r.cfg.DisableLanes {
+	if lane != transport.LaneBulk {
 		// Whole-message wire body, shared read-only across the fan-out.
 		body = append(make([]byte, 0, 1+len(frame)), frameKindMsg)
 		body = append(body, frame...)
@@ -461,19 +455,14 @@ func (r *Runtime) emit(env transport.Envelope) {
 
 // send routes one encoded frame onto the peer's lane without blocking the
 // apply loop. Bulk frames become streams under flow control; control
-// frames (and everything in DisableLanes mode) ride a bounded queue whose
-// overflow drops the frame.
+// frames ride a bounded queue whose overflow drops the frame.
 func (p *peer) send(frame, body []byte, lane transport.Lane) {
-	if p.sched != nil && lane == transport.LaneBulk {
-		p.sched.enqueue(frame)
+	if lane == transport.LaneBulk {
+		p.bulk.enqueue(frame)
 		return
 	}
-	q := p.bulk
-	if lane == transport.LaneControl && p.control != nil {
-		q = p.control
-	}
 	select {
-	case q <- body:
+	case p.control <- body:
 	default:
 		p.drops.Add(1)
 	}
@@ -491,10 +480,10 @@ func (r *Runtime) sendCredit(id types.ReplicaID, epoch uint32, consumed int64) {
 
 // applyCredit feeds a received grant into the scheduler for peer id.
 func (r *Runtime) applyCredit(id types.ReplicaID, epoch uint32, consumed int64) {
-	if int(id) >= len(r.peers) || r.peers[id] == nil || r.peers[id].sched == nil {
+	if int(id) >= len(r.peers) || r.peers[id] == nil {
 		return
 	}
-	r.peers[id].sched.grant(epoch, consumed)
+	r.peers[id].bulk.grant(epoch, consumed)
 }
 
 // next blocks until the peer has something to transmit, with strict lane
@@ -514,18 +503,7 @@ func (r *Runtime) next(p *peer, hdrBuf []byte) (msg, chunkBody, chunkPayload []b
 			return f, nil, nil, true
 		default:
 		}
-		if p.sched == nil {
-			// DisableLanes: single FIFO.
-			select {
-			case <-r.stop:
-				return nil, nil, nil, false
-			case f := <-p.bulk:
-				return f, nil, nil, true
-			case <-p.grantNotify:
-			}
-			continue
-		}
-		if body, payload, ok := p.sched.nextChunk(hdrBuf); ok {
+		if body, payload, ok := p.bulk.nextChunk(hdrBuf); ok {
 			return nil, body, payload, true
 		}
 		select {
@@ -533,7 +511,7 @@ func (r *Runtime) next(p *peer, hdrBuf []byte) (msg, chunkBody, chunkPayload []b
 			return nil, nil, nil, false
 		case f := <-p.control:
 			return f, nil, nil, true
-		case <-p.sched.notify:
+		case <-p.bulk.notify:
 		case <-p.grantNotify:
 		}
 	}
@@ -589,10 +567,7 @@ func (r *Runtime) sendLoop(p *peer) {
 				// Rewind the scheduler before the hello so the epoch the
 				// hello announces is the one this connection's grants
 				// must carry.
-				var epoch uint32
-				if p.sched != nil {
-					epoch = p.sched.resetConn()
-				}
+				epoch := p.bulk.resetConn()
 				if err := writeHello(c, r.cfg.Self, epoch); err == nil {
 					return c
 				}
@@ -635,7 +610,7 @@ func (r *Runtime) sendLoop(p *peer) {
 		} else {
 			err = writeWireFrame(conn, chunkBody, chunkPayload)
 			if err == nil {
-				p.sched.chunkWritten()
+				p.bulk.chunkWritten()
 			}
 			// A failed chunk is abandoned: resetConn rewinds its stream,
 			// including a fin chunk's stream parked in the sending slot.
@@ -654,11 +629,24 @@ func (r *Runtime) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		r.inboundMu.Lock()
+		select {
+		case <-r.stop:
+			r.inboundMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		r.inbound[conn] = struct{}{}
+		r.inboundMu.Unlock()
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			defer conn.Close()
 			r.readLoop(conn)
+			r.inboundMu.Lock()
+			delete(r.inbound, conn)
+			r.inboundMu.Unlock()
+			conn.Close()
 		}()
 	}
 }
@@ -735,7 +723,7 @@ func (r *Runtime) readLoop(conn net.Conn) {
 }
 
 // writeHello announces the dialer's replica id and the connection epoch
-// its credit grants must carry (see streamSched.epoch).
+// its credit grants must carry (see transport.StreamSched).
 func writeHello(conn net.Conn, self types.ReplicaID, epoch uint32) error {
 	var buf [8]byte
 	binary.BigEndian.PutUint32(buf[:4], uint32(self))

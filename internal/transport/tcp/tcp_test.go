@@ -139,3 +139,75 @@ func TestLeopardOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// signalNode reports each delivery on got (non-blocking).
+type signalNode struct {
+	idleNode
+	got chan struct{}
+}
+
+func (n *signalNode) Deliver(time.Duration, types.ReplicaID, transport.Message, transport.Sink) {
+	select {
+	case n.got <- struct{}{}:
+	default:
+	}
+}
+
+// TestRunReturnsPromptlyWithIdlePeer: cancelling a runtime must end its
+// Run promptly while a peer that stays up but idle holds an inbound
+// connection to it. Stop closes accepted connections; otherwise their
+// read loops wait for the idle peer's next frame, and Run with them.
+func TestRunReturnsPromptlyWithIdlePeer(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	newRuntime := func(node transport.Node) *tcp.Runtime {
+		rt, err := tcp.New(tcp.Config{
+			Self:         node.ID(),
+			Addrs:        addrs,
+			Codec:        laneCodec{},
+			TickInterval: time.Hour,
+			DialRetry:    10 * time.Millisecond,
+		}, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	got := make(chan struct{}, 1)
+	rt0 := newRuntime(&signalNode{idleNode: idleNode{id: 0}, got: got})
+	rt1 := newRuntime(&idleNode{id: 1})
+
+	ctx0, cancel0 := context.WithCancel(context.Background())
+	defer cancel0()
+	done0 := make(chan error, 1)
+	go func() { done0 <- rt0.Run(ctx0) }()
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	done1 := make(chan error, 1)
+	go func() { done1 <- rt1.Run(ctx1) }()
+	defer func() {
+		cancel1()
+		<-done1
+		<-done0
+	}()
+
+	// One control frame from replica 1: once it is delivered, replica 0
+	// holds an accepted connection from a peer that then goes quiet.
+	err := rt1.Inject(func(_ time.Duration, out transport.Sink) {
+		out.Send(transport.Unicast(0, &laneMsg{tag: 'x', class: transport.ClassVote}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("replica 0 never received the frame")
+	}
+
+	cancel0()
+	select {
+	case <-done0:
+		done0 <- nil // for the deferred drain
+	case <-time.After(time.Second):
+		t.Fatal("Run did not return within 1s of cancel while an idle peer stayed connected")
+	}
+}

@@ -43,11 +43,11 @@
 // Receivers reassemble chunks (Reassembler) before decoding and grant
 // byte credits back on the control lane (CreditMsg) as they consume;
 // senders debit their per-peer credit window per chunk and park at zero
-// credit. StreamConfig holds the shared policy — chunk size, split
-// threshold, credit window, park budget, per-peer stream cap — used
-// identically by the TCP runtime and the simulator's credit-based bulk
-// model, which is what keeps the simulated chunk schedule faithful to the
-// real one.
+// credit. StreamConfig holds the policy — chunk size, split threshold,
+// credit window, park budget, per-peer stream cap — and StreamSched is the
+// one scheduler that applies it: the TCP runtime runs it per peer under a
+// mutex, the simulator drives it in virtual time, which is what keeps the
+// simulated chunk schedule faithful to the real one.
 //
 // # Lanes
 //
